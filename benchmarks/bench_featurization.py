@@ -27,11 +27,7 @@ from repro.certa.perturbation import perturbed_pair
 from repro.data.registry import load_benchmark
 from repro.eval.reporting import format_table
 from repro.models.training import make_model
-from repro.text.similarity import (
-    memoized_jaro_winkler,
-    memoized_levenshtein_similarity,
-    memoized_monge_elkan,
-)
+from repro.text.similarity import memoized_jaro_winkler, memoized_levenshtein_similarity
 
 from benchmarks.conftest import run_once
 
@@ -73,11 +69,10 @@ def test_featurization_speedup(benchmark, results_dir):
         for name in MODEL_NAMES:
             # Fresh model per arm plus cleared process-wide memo cores: every
             # cache (value interning, pairwise comparisons, token embeddings,
-            # Levenshtein / Jaro-Winkler / Monge-Elkan memos) starts cold for
-            # each model's measurement.
+            # Levenshtein / Jaro-Winkler memos) starts cold for each model's
+            # measurement.
             memoized_levenshtein_similarity.cache_clear()
             memoized_jaro_winkler.cache_clear()
-            memoized_monge_elkan.cache_clear()
             batched_model = make_model(name)
             start = time.perf_counter()
             batched_matrix = batched_model.featurize(pairs)

@@ -62,11 +62,7 @@ from repro.explain.shap import ShapExplainer
 from repro.models.base import MATCH_THRESHOLD, ERModel
 from repro.models.featurizer import FeaturizerStats
 from repro.models.training import ModelCache, TrainedModel
-from repro.text.similarity import (
-    memoized_jaro_winkler,
-    memoized_levenshtein_similarity,
-    memoized_monge_elkan,
-)
+from repro.text.similarity import memoized_jaro_winkler, memoized_levenshtein_similarity
 
 #: Saliency baselines of Table 2/3, in the paper's column order.
 SALIENCY_METHODS = ("certa", "landmark", "mojito", "shap")
@@ -715,7 +711,6 @@ def _run_prediction_engine_unit(harness: ExperimentHarness, unit: WorkUnit) -> t
         model.clear_featurizer_cache()
         memoized_levenshtein_similarity.cache_clear()
         memoized_jaro_winkler.cache_clear()
-        memoized_monge_elkan.cache_clear()
         explainer = harness.certa_explainer(model, unit.dataset, num_triangles=tau, batched=batched)
         explanations = []
         skip_counts[batched] = 0

@@ -19,6 +19,8 @@ import numpy as np
 from repro.data.records import Record, RecordPair
 from repro.text.embeddings import HashedEmbeddings
 from repro.text.similarity import (
+    EDIT_PREFIX,
+    MONGE_ELKAN_TOKENS,
     attribute_similarity,
     jaccard,
     levenshtein_similarity,
@@ -59,8 +61,8 @@ def attribute_comparison_vector(left_value: str, right_value: str) -> np.ndarray
         [
             jaccard(left_tokens, right_tokens),
             overlap_coefficient(left_tokens, right_tokens),
-            levenshtein_similarity(left_value[:64], right_value[:64]),
-            monge_elkan(left_tokens[:12], right_tokens[:12]),
+            levenshtein_similarity(left_value[:EDIT_PREFIX], right_value[:EDIT_PREFIX]),
+            monge_elkan(left_tokens[:MONGE_ELKAN_TOKENS], right_tokens[:MONGE_ELKAN_TOKENS]),
             numeric_similarity(left_value, right_value),
             1.0 if not left_value else 0.0,
             1.0 if not right_value else 0.0,

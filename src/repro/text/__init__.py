@@ -3,6 +3,8 @@
 from repro.text.embeddings import HashedEmbeddings
 from repro.text.interning import ValueFeatureCache, ValueFeatures
 from repro.text.similarity import (
+    EDIT_PREFIX,
+    MONGE_ELKAN_TOKENS,
     attribute_similarity,
     cosine_tokens,
     dice_coefficient,
@@ -13,7 +15,6 @@ from repro.text.similarity import (
     levenshtein_similarity,
     memoized_jaro_winkler,
     memoized_levenshtein_similarity,
-    memoized_monge_elkan,
     monge_elkan,
     numeric_similarity,
     overlap_coefficient,
@@ -32,6 +33,8 @@ from repro.text.vectorize import (
 from repro.text.vocabulary import Vocabulary
 
 __all__ = [
+    "EDIT_PREFIX",
+    "MONGE_ELKAN_TOKENS",
     "HashedEmbeddings",
     "HashingVectorizer",
     "TfIdfVectorizer",
@@ -50,7 +53,6 @@ __all__ = [
     "levenshtein_similarity",
     "memoized_jaro_winkler",
     "memoized_levenshtein_similarity",
-    "memoized_monge_elkan",
     "monge_elkan",
     "numeric_similarity",
     "overlap_coefficient",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.text.similarity import EDIT_PREFIX, MONGE_ELKAN_TOKENS
 from repro.text.tokenize import qgrams, tokenize
 
 
@@ -36,19 +37,13 @@ class ValueFeatures:
 
     __slots__ = ("value", "tokens", "token_set", "truncated", "me_tokens", "numeric", "_qgram_set")
 
-    #: Truncation length applied before edit-distance features (matches the
-    #: ``value[:64]`` slices in the naive featurisation path).
-    EDIT_PREFIX = 64
-    #: Token prefix length fed to Monge-Elkan (matches ``tokens[:12]``).
-    MONGE_ELKAN_TOKENS = 12
-
     def __init__(self, value: str) -> None:
         self.value = value
         tokens = tokenize(value)
         self.tokens = tokens
         self.token_set = frozenset(tokens)
-        self.truncated = value[: self.EDIT_PREFIX]
-        self.me_tokens = tuple(tokens[: self.MONGE_ELKAN_TOKENS])
+        self.truncated = value[:EDIT_PREFIX]
+        self.me_tokens = tuple(tokens[:MONGE_ELKAN_TOKENS])
         try:
             self.numeric: float | None = float(value)
         except ValueError:

@@ -4,6 +4,12 @@ These are the comparison primitives behind the DeepMatcher-style attribute
 summarisation model, the evaluation metrics (proximity / diversity are
 attribute-wise distances) and the blocking heuristics.  All functions return
 similarities in ``[0, 1]`` where ``1`` means identical.
+
+Edit distance is computed bit-parallel (:func:`levenshtein_distance`), a few
+word operations per character over values cut to :data:`EDIT_PREFIX`.  The
+process-wide memo that matters is :func:`memoized_jaro_winkler`: Monge-Elkan
+compares every token of one value with every token of the other, and
+perturbed copies of a record share nearly all their tokens.
 """
 
 from __future__ import annotations
@@ -14,6 +20,12 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from repro.text.tokenize import qgrams, tokenize
+
+#: Characters of each value fed to edit-distance features, on the naive and
+#: the content-cached featurisation paths alike.
+EDIT_PREFIX = 64
+#: Tokens of each value fed to Monge-Elkan features, on both paths.
+MONGE_ELKAN_TOKENS = 12
 
 
 def jaccard(left: Iterable[str], right: Iterable[str]) -> float:
@@ -61,23 +73,45 @@ def cosine_tokens(left: Iterable[str], right: Iterable[str]) -> float:
 
 
 def levenshtein_distance(left: str, right: str) -> int:
-    """Plain Levenshtein edit distance with a two-row dynamic program."""
+    """Levenshtein edit distance, computed bit-parallel.
+
+    Hyyrö's (2003) Levenshtein form of Myers' bit-vector algorithm (J. ACM
+    1999): one DP column over the shorter string is held as vertical-delta
+    bit vectors (``pv``/``mv``: +1/-1 steps) in Python ints and advanced by
+    a fixed handful of word operations per character of the longer string.
+    The score tracks the column's last cell through the high bit of the
+    horizontal deltas (``ph``/``mh``).
+    """
     if left == right:
         return 0
     if not left:
         return len(right)
     if not right:
         return len(left)
-    previous = list(range(len(right) + 1))
-    for i, left_char in enumerate(left, start=1):
-        current = [i]
-        for j, right_char in enumerate(right, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            replace_cost = previous[j - 1] + (left_char != right_char)
-            current.append(min(insert_cost, delete_cost, replace_cost))
-        previous = current
-    return previous[-1]
+    if len(left) > len(right):
+        left, right = right, left
+    pattern_eq: dict[str, int] = {}
+    bit = 1
+    for char in left:
+        pattern_eq[char] = pattern_eq.get(char, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    high = bit >> 1
+    pv, mv, score = full, 0, len(left)
+    for char in right:
+        eq = pattern_eq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def levenshtein_similarity(left: str, right: str) -> float:
@@ -149,8 +183,8 @@ def monge_elkan(
 ) -> float:
     """Monge-Elkan similarity: average best Jaro-Winkler match per left token.
 
-    ``token_similarity`` exists so the memoised wrapper can reuse this loop
-    with a cached token comparator instead of duplicating it.
+    ``token_similarity`` lets the content-cached featurizer reuse this loop
+    with the memoised token comparator (:func:`memoized_jaro_winkler`).
     """
     if not left_tokens and not right_tokens:
         return 1.0
@@ -166,30 +200,25 @@ def monge_elkan(
 def memoized_levenshtein_similarity(left: str, right: str) -> float:
     """Memoised :func:`levenshtein_similarity` (same values, O(1) on repeats).
 
-    The edit-distance dynamic program is the O(n^2) core of
-    :func:`attribute_similarity` and of the matchers' comparison features;
-    perturbation workloads compare the same value pairs over and over, so the
-    content-cached featurisation layer routes through this wrapper.  The cache
-    is process-wide and bounded (least-recently-used eviction).
+    The content-cached featurisation layer routes its edit-distance features
+    through this binding.  With the bit-parallel kernel the memo saves little
+    over that layer's own pairwise caches (under a tenth of a cold
+    explanation); it is also the call site the benchmark's tracer
+    (``perfbench/tracing.py``) wraps to time edit distance.  The cache is
+    process-wide and bounded (least-recently-used eviction).
     """
     return levenshtein_similarity(left, right)
 
 
 @lru_cache(maxsize=1 << 18)
 def memoized_jaro_winkler(left: str, right: str) -> float:
-    """Memoised :func:`jaro_winkler` over single tokens (same values)."""
-    return jaro_winkler(left, right)
+    """Memoised :func:`jaro_winkler` over single tokens (same values).
 
-
-@lru_cache(maxsize=1 << 17)
-def memoized_monge_elkan(left_tokens: tuple[str, ...], right_tokens: tuple[str, ...]) -> float:
-    """Memoised :func:`monge_elkan` over token tuples.
-
-    Two cache layers over the one shared loop: the whole token-tuple pair,
-    and each token-level Jaro-Winkler comparison via
-    :func:`memoized_jaro_winkler`.
+    The token comparator of the featurizer's Monge-Elkan features: perturbed
+    copies of a record re-pair the same tokens across many value pairs, which
+    the featurizer's per-value-pair caches cannot see.
     """
-    return monge_elkan(left_tokens, right_tokens, token_similarity=memoized_jaro_winkler)
+    return jaro_winkler(left, right)
 
 
 def qgram_similarity(left: str, right: str, q: int = 3) -> float:
@@ -240,7 +269,7 @@ def attribute_similarity(left_value: str, right_value: str) -> float:
         return 0.0
     token_part = jaccard(tokenize(left_value), tokenize(right_value))
     qgram_part = qgram_similarity(left_value, right_value)
-    edit_part = levenshtein_similarity(left_value[:64], right_value[:64])
+    edit_part = levenshtein_similarity(left_value[:EDIT_PREFIX], right_value[:EDIT_PREFIX])
     return (token_part + qgram_part + edit_part) / 3.0
 
 

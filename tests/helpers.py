@@ -4,6 +4,8 @@ The unit tests for explainers and metrics do not need a trained neural matcher:
 any object exposing the :class:`repro.models.base.ERModel` prediction API will
 do.  :class:`SimilarityModel` scores pairs by token overlap, which is fast,
 deterministic and (usefully for lattice tests) monotone in content overlap.
+:func:`reference_levenshtein_distance` is the textbook dynamic program that
+the bit-parallel production kernel is checked against.
 """
 
 from __future__ import annotations
@@ -18,6 +20,26 @@ from repro.text.tokenize import tokenize
 
 LEFT_SCHEMA = Schema.from_names(["name", "description", "price"])
 RIGHT_SCHEMA = Schema.from_names(["name", "description", "price"])
+
+
+def reference_levenshtein_distance(left: str, right: str) -> int:
+    """Plain Levenshtein edit distance with a two-row dynamic program."""
+    if left == right:
+        return 0
+    if not left:
+        return len(right)
+    if not right:
+        return len(left)
+    previous = list(range(len(right) + 1))
+    for i, left_char in enumerate(left, start=1):
+        current = [i]
+        for j, right_char in enumerate(right, start=1):
+            insert_cost = current[j - 1] + 1
+            delete_cost = previous[j] + 1
+            replace_cost = previous[j - 1] + (left_char != right_char)
+            current.append(min(insert_cost, delete_cost, replace_cost))
+        previous = current
+    return previous[-1]
 
 
 def make_record(record_id: str, name: str, description: str, price: str, source: str = "U") -> Record:

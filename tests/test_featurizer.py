@@ -32,10 +32,12 @@ from repro.models.featurizer import FeaturizerStats, PairComparisonCache
 from repro.models.training import make_model
 from repro.text.interning import ValueFeatureCache, ValueFeatures
 from repro.text.similarity import (
+    EDIT_PREFIX,
+    MONGE_ELKAN_TOKENS,
     attribute_similarity,
     levenshtein_similarity,
+    memoized_jaro_winkler,
     memoized_levenshtein_similarity,
-    memoized_monge_elkan,
     monge_elkan,
 )
 
@@ -164,12 +166,12 @@ class TestValueInterning:
         features = ValueFeatures("Sony BRAVIA Theater 2000")
         assert features.tokens == ["sony", "bravia", "theater", "2000"]
         assert features.token_set == frozenset(features.tokens)
-        assert features.me_tokens == tuple(features.tokens[:12])
+        assert features.me_tokens == tuple(features.tokens[:MONGE_ELKAN_TOKENS])
         assert features.numeric is None
         assert ValueFeatures("349.00").numeric == 349.0
         assert ValueFeatures("").is_missing
         long_value = "x" * 100
-        assert ValueFeatures(long_value).truncated == long_value[:64]
+        assert ValueFeatures(long_value).truncated == long_value[:EDIT_PREFIX]
 
     def test_qgram_set_is_lazy_and_correct(self):
         features = ValueFeatures("abc")
@@ -239,11 +241,10 @@ class TestMemoizedCores:
 
     @pytest.mark.parametrize("left,right", VALUE_PAIRS)
     def test_monge_elkan_core_agrees(self, left, right):
-        left_tokens = tuple(left.split()[:12])
-        right_tokens = tuple(right.split()[:12])
-        assert memoized_monge_elkan(left_tokens, right_tokens) == monge_elkan(
-            list(left_tokens), list(right_tokens)
-        )
+        left_tokens = tuple(left.split()[:MONGE_ELKAN_TOKENS])
+        right_tokens = tuple(right.split()[:MONGE_ELKAN_TOKENS])
+        memoized = monge_elkan(left_tokens, right_tokens, token_similarity=memoized_jaro_winkler)
+        assert memoized == monge_elkan(list(left_tokens), list(right_tokens))
 
 
 # ------------------------------------------------------------------ accounting

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text.similarity import (
+    EDIT_PREFIX,
     attribute_similarity,
     cosine_tokens,
     dice_coefficient,
@@ -22,7 +23,12 @@ from repro.text.similarity import (
     qgram_similarity,
 )
 
+from tests.helpers import reference_levenshtein_distance
+
 short_text = st.text(alphabet="abcdef 0123", min_size=0, max_size=20)
+#: Long strings over a few characters: many matches, so the bit vectors carry
+#: across the 64-bit word boundary and past ``EDIT_PREFIX``.
+long_repetitive_text = st.text(alphabet="ab c", max_size=200)
 token_lists = st.lists(st.sampled_from(["sony", "bravia", "black", "micro", "canon", "10"]), max_size=6)
 
 
@@ -74,6 +80,42 @@ class TestEditDistances:
 
     def test_levenshtein_similarity_both_empty(self):
         assert levenshtein_similarity("", "") == 1.0
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            ("", "x"),
+            ("x", ""),
+            ("x", "x"),
+            ("x", "y"),
+            ("x", "yxy"),
+            ("a" * 63, "a" * 64),
+            ("a" * 64, "b" * 64),
+            ("a" * 65, "a" * 64 + "b"),
+            ("ab" * 64, "ba" * 64),
+            ("ab" * 64, "a" * 129),
+            ("a" * 129, "a" * 128),
+            ("abc" * 43, "abc" * 43),
+            ("".join(chr(0x100 + i) for i in range(129)), "".join(chr(0x100 + i) for i in range(1, 130))),
+            ("".join(chr(0x100 + i) for i in range(65)), "".join(chr(0x100 + i) for i in reversed(range(65)))),
+            ("x" * EDIT_PREFIX, "y" + "x" * EDIT_PREFIX),
+        ],
+    )
+    def test_levenshtein_matches_reference_cases(self, left, right):
+        assert levenshtein_distance(left, right) == reference_levenshtein_distance(left, right)
+        assert levenshtein_distance(right, left) == reference_levenshtein_distance(left, right)
+
+    @given(st.text(max_size=200), st.text(max_size=200))
+    @settings(max_examples=150, deadline=None)
+    def test_levenshtein_matches_reference_on_unicode(self, left, right):
+        distance = levenshtein_distance(left, right)
+        assert distance == reference_levenshtein_distance(left, right)
+        assert distance == levenshtein_distance(right, left)
+
+    @given(long_repetitive_text, long_repetitive_text)
+    @settings(max_examples=150, deadline=None)
+    def test_levenshtein_matches_reference_on_long_repetitive_text(self, left, right):
+        assert levenshtein_distance(left, right) == reference_levenshtein_distance(left, right)
 
     @given(short_text, short_text)
     @settings(max_examples=60, deadline=None)
